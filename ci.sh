@@ -59,6 +59,12 @@ echo "==> cluster kill -9 / chaos torture / differential harness"
 # never a wrong answer, no acked ingest lost, no dual primaries.
 timeout 240 cargo test -q --release -p bmb-cluster
 
+echo "==> benchmark builds and passes its own tests"
+# perfbench/ is a workspace of its own that calls the library crates'
+# public API; building it here makes an API change that breaks the
+# benchmark fail CI rather than the benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> server smoke test"
 ./scripts/serve_smoke.sh
 

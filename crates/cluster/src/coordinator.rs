@@ -1,17 +1,18 @@
-//! The coordinator: scatter support requests, gather integer vectors,
-//! evaluate statistics centrally.
+//! The coordinator: routing, fencing and health in front of N shards;
+//! every query is answered by the shared evaluation over a scatter.
 //!
 //! The coordinator speaks the same line-delimited JSON protocol as a
 //! standalone server — clients cannot tell the difference — but owns no
-//! baskets. Every query becomes one `support_vec` scatter: each shard
-//! pins a single snapshot and answers raw integer supports for the
-//! query's subset lattice (in [`bmb_core::subset_itemsets`] mask
-//! order). Supports are *additive* over any partition of the baskets,
-//! so the gathered vectors merge by plain `u64` addition, and the
-//! merged vector feeds the exact Möbius inversion and `Chi2Test` code
-//! path a single store uses ([`bmb_core::table_from_subset_supports`]).
-//! That is the whole bit-identity argument: integers merge exactly, and
-//! all floating-point work happens once, centrally, in the same order.
+//! baskets and evaluates no statistics. Each query command goes to
+//! [`bmb_serve::dispatch_query`] with a per-request scatter-gather
+//! [`SupportSource`]: every read becomes one `support_vec` scatter in
+//! which each shard pins a single snapshot and answers raw integer
+//! supports. Supports are *additive* over any partition of the baskets,
+//! so the gathered vectors merge by plain `u64` addition, and the merged
+//! vector enters the very code a single store's snapshot feeds
+//! ([`bmb_core::source`]). That is the whole bit-identity argument:
+//! integers merge exactly, and all floating-point work happens once,
+//! centrally, in the same code.
 //!
 //! Every response carries an **epoch vector** `[e0, …, eN-1]` — the
 //! per-shard epochs the answer was computed at — alongside the scalar
@@ -42,24 +43,22 @@
 //! that ever needs to nest them.
 //! // lock:order(health < addr < client)
 
+use std::borrow::Borrow;
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use bmb_basket::{ContingencyTable, ItemId, Itemset};
-use bmb_core::{
-    merge_support_vectors, mine_with_counter, subset_itemsets, table_from_subset_supports,
-    Chi2Answer, EngineConfig, EngineError, InterestAnswer, Marginals, MinerConfig, PairCorrelation,
-    SupportSpec, MAX_QUERY_DIMS,
-};
+use bmb_basket::ItemId;
+use bmb_core::{merge_support_vectors, Cut, EngineConfig, SupportSource};
 use bmb_obs::{Registry, SpanRecord, SpanRing, TraceId, DEFAULT_SPAN_CAPACITY};
 use bmb_serve::json::Value;
-use bmb_serve::protocol::{border_value, chi2_value, interest_value, pair_value, trace_value};
+use bmb_serve::protocol::trace_value;
 use bmb_serve::{
-    ClientError, ErrorCategory, Request, RetryClient, RetryPolicy, ServerMetrics, Service,
-    ServiceCtx, ServiceFailure,
+    dispatch_query, ClientError, ErrorCategory, Request, RetryClient, RetryPolicy, ServerMetrics,
+    Service, ServiceCtx, ServiceFailure,
 };
-use bmb_stats::{Chi2Test, InterestReport, SignificanceLevel};
+use bmb_stats::{Chi2Test, SignificanceLevel};
 
 use crate::clock::{Clock, SystemClock};
 use crate::metrics::ClusterMetrics;
@@ -103,7 +102,7 @@ pub struct CoordinatorConfig {
     /// Basket-to-shard routing strategy.
     pub strategy: PartitionStrategy,
     /// Statistical parameters — must mirror the shards' engines so the
-    /// central `Chi2Test` is the one a single store would run.
+    /// `Chi2Test` answers are judged by is the one a single store runs.
     pub engine: EngineConfig,
     /// Retry pacing for shard requests.
     pub retry: RetryPolicy,
@@ -634,11 +633,17 @@ impl CoordinatorService {
 
     /// One scatter round: every shard answers supports for `subsets`
     /// (in order) off a single pinned snapshot; the vectors are summed.
-    fn scatter_supports(&self, subsets: &[Vec<ItemId>]) -> Result<Gather, ServiceFailure> {
+    fn scatter_supports<T: Borrow<[ItemId]>>(
+        &self,
+        subsets: &[T],
+    ) -> Result<Gather, ServiceFailure> {
         self.metrics.scatters.inc();
         let itemsets: Vec<Value> = subsets
             .iter()
-            .map(|set| Value::Array(set.iter().map(|item| Value::Int(item.0 as i64)).collect()))
+            .map(|set| {
+                let items = set.borrow().iter().map(|item| Value::Int(item.0 as i64));
+                Value::Array(items.collect())
+            })
             .collect();
         let request = Value::object()
             .with("cmd", Value::Str("support_vec".to_string()))
@@ -685,298 +690,6 @@ impl CoordinatorService {
         })
     }
 
-    // ---- central evaluation ----------------------------------------------
-
-    /// Validates an itemset the way a shard engine would, up to the
-    /// checks that need no snapshot (empty, oversized).
-    fn local_validate(&self, set: &Itemset) -> Result<(), EngineError> {
-        if set.is_empty() {
-            return Err(EngineError::EmptyItemset);
-        }
-        if set.len() > MAX_QUERY_DIMS {
-            return Err(EngineError::TooManyItems { len: set.len() });
-        }
-        Ok(())
-    }
-
-    /// The first out-of-range item of `set`, mirroring the engine's
-    /// iteration order, or `None` when all are in range.
-    fn out_of_range(&self, set: &Itemset) -> Option<ItemId> {
-        set.items()
-            .iter()
-            .copied()
-            .find(|item| item.index() >= self.config.n_items)
-    }
-
-    /// Post-scatter validation: the engine reports `EmptySnapshot`
-    /// before `ItemOutOfRange`, so both wait until `n` is known.
-    fn snapshot_validate(&self, set: &Itemset, n: u64) -> Result<(), EngineError> {
-        if n == 0 {
-            return Err(EngineError::EmptySnapshot);
-        }
-        if let Some(item) = self.out_of_range(set) {
-            return Err(EngineError::ItemOutOfRange {
-                item,
-                n_items: self.config.n_items,
-            });
-        }
-        Ok(())
-    }
-
-    /// Scatter + merge + Möbius for one itemset; the shared core of
-    /// `chi2` and `interest`.
-    fn gathered_table(&self, set: &Itemset) -> Result<(ContingencyTable, Gather), ServiceFailure> {
-        self.local_validate(set).map_err(engine_failure)?;
-        // Out-of-range items never reach the shards (their stores would
-        // reject them); scatter an empty vector just to learn n/epochs.
-        let subsets = if self.out_of_range(set).is_none() {
-            subset_itemsets(set)
-        } else {
-            Vec::new()
-        };
-        let gather = self.scatter_supports(&subsets)?;
-        self.snapshot_validate(set, gather.n)
-            .map_err(engine_failure)?;
-        let table = table_from_subset_supports(set, &gather.supports);
-        Ok((table, gather))
-    }
-
-    /// Central chi-squared: identical statistic bits to a single store
-    /// holding all baskets at the same epoch-vector cut.
-    fn central_chi2(&self, items: Vec<u32>) -> Result<(Chi2Answer, Vec<u64>), ServiceFailure> {
-        let set = Itemset::from_ids(items);
-        let (table, gather) = self.gathered_table(&set)?;
-        let full_cell = (1u32 << set.len()) - 1;
-        let answer = Chi2Answer {
-            epoch: gather.epoch_sum(),
-            support: table.observed(full_cell),
-            outcome: self.test.test_dense(&table),
-            itemset: set,
-        };
-        Ok((answer, gather.epochs))
-    }
-
-    fn dispatch_chi2(
-        &self,
-        items: Vec<u32>,
-        ctx: &ServiceCtx<'_>,
-    ) -> Result<Value, ServiceFailure> {
-        let (answer, epochs) = self.central_chi2(items)?;
-        ctx.metrics.record_served_epoch(answer.epoch);
-        Ok(chi2_value(&answer).with("epochs", epochs_value(&epochs)))
-    }
-
-    fn dispatch_chi2_batch(
-        &self,
-        itemsets: Vec<Vec<u32>>,
-        ctx: &ServiceCtx<'_>,
-    ) -> Result<Value, ServiceFailure> {
-        // One scatter for the whole batch: concatenate every valid
-        // itemset's subset lattice, then slice the merged vector back
-        // apart. All answers share one epoch vector by construction.
-        let sets: Vec<Result<Itemset, EngineError>> = itemsets
-            .into_iter()
-            .map(|items| {
-                let set = Itemset::from_ids(items);
-                self.local_validate(&set).map(|()| set)
-            })
-            .collect();
-        let mut subsets: Vec<Vec<ItemId>> = Vec::new();
-        let mut spans: Vec<Option<(usize, usize)>> = Vec::with_capacity(sets.len());
-        for set in &sets {
-            match set {
-                Ok(set) if self.out_of_range(set).is_none() => {
-                    let lattice = subset_itemsets(set);
-                    let start = subsets.len();
-                    subsets.extend(lattice);
-                    spans.push(Some((start, subsets.len())));
-                }
-                _ => spans.push(None),
-            }
-        }
-        let gather = self.scatter_supports(&subsets)?;
-        if ctx.over_deadline() {
-            return Err(ServiceFailure::deadline(ctx.config.request_deadline));
-        }
-        let epoch = gather.epoch_sum();
-        ctx.metrics.record_served_epoch(epoch);
-        let mut results: Vec<Value> = Vec::with_capacity(sets.len());
-        for (set, span) in sets.into_iter().zip(spans) {
-            results.push(match self.batch_entry(set, span, &gather) {
-                Ok(answer) => chi2_value(&answer),
-                Err(e) => Value::object().with("error", Value::Str(e.to_string())),
-            });
-        }
-        Ok(Value::object()
-            .with("epoch", Value::Int(epoch as i64))
-            .with("results", Value::Array(results))
-            .with("epochs", epochs_value(&gather.epochs)))
-    }
-
-    /// One `chi2_batch` entry, with the engine's error precedence.
-    fn batch_entry(
-        &self,
-        set: Result<Itemset, EngineError>,
-        span: Option<(usize, usize)>,
-        gather: &Gather,
-    ) -> Result<Chi2Answer, EngineError> {
-        let set = set?;
-        self.snapshot_validate(&set, gather.n)?;
-        // In-range and validated, so a span exists; an empty slice only
-        // arises for out-of-range sets, rejected just above.
-        let supports = match span {
-            Some((start, end)) => &gather.supports[start..end],
-            None => &[],
-        };
-        let table = table_from_subset_supports(&set, supports);
-        let full_cell = (1u32 << set.len()) - 1;
-        Ok(Chi2Answer {
-            epoch: gather.epoch_sum(),
-            support: table.observed(full_cell),
-            outcome: self.test.test_dense(&table),
-            itemset: set,
-        })
-    }
-
-    fn dispatch_interest(
-        &self,
-        items: Vec<u32>,
-        cell: u32,
-        ctx: &ServiceCtx<'_>,
-    ) -> Result<Value, ServiceFailure> {
-        let set = Itemset::from_ids(items);
-        let (table, gather) = self.gathered_table(&set)?;
-        if cell as usize >= table.n_cells() {
-            return Err(engine_failure(EngineError::CellOutOfRange {
-                cell,
-                dims: table.dims(),
-            }));
-        }
-        let epoch = gather.epoch_sum();
-        ctx.metrics.record_served_epoch(epoch);
-        let report = InterestReport::analyze(&table);
-        let info = report.cells()[cell as usize];
-        let answer = InterestAnswer {
-            itemset: set,
-            cell,
-            epoch,
-            observed: info.observed,
-            expected: info.expected,
-            interest: info.interest,
-        };
-        Ok(interest_value(&answer).with("epochs", epochs_value(&gather.epochs)))
-    }
-
-    fn dispatch_topk(&self, k: usize, ctx: &ServiceCtx<'_>) -> Result<Value, ServiceFailure> {
-        // One scatter: all singletons, then all pairs in (a, b) order —
-        // the same enumeration the engine's pair sweep uses.
-        let n_items = self.config.n_items;
-        let mut subsets: Vec<Vec<ItemId>> =
-            (0..n_items).map(|item| vec![ItemId(item as u32)]).collect();
-        for a in 0..n_items {
-            for b in a + 1..n_items {
-                subsets.push(vec![ItemId(a as u32), ItemId(b as u32)]);
-            }
-        }
-        let gather = self.scatter_supports(&subsets)?;
-        if gather.n == 0 {
-            return Err(engine_failure(EngineError::EmptySnapshot));
-        }
-        let n = gather.n;
-        let item_counts = &gather.supports[..n_items];
-        let mut rows: Vec<PairCorrelation> = Vec::new();
-        let mut next_pair = n_items;
-        for a in 0..n_items {
-            for b in a + 1..n_items {
-                let set = Itemset::from_ids([a as u32, b as u32]);
-                let s_ab = gather.supports[next_pair];
-                next_pair += 1;
-                let (o_a, o_b) = (item_counts[a], item_counts[b]);
-                // Cell masks: bit0 = a present, bit1 = b present — the
-                // engine's exact construction, on merged integers.
-                let counts = vec![(n + s_ab) - o_a - o_b, o_a - s_ab, o_b - s_ab, s_ab];
-                let table = ContingencyTable::from_counts(set, counts);
-                rows.push(PairCorrelation::from_table(&table, &self.test));
-            }
-        }
-        rows.sort_unstable_by(|x, y| {
-            y.chi2
-                .statistic
-                .total_cmp(&x.chi2.statistic)
-                .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-        });
-        rows.truncate(k);
-        let epoch = gather.epoch_sum();
-        ctx.metrics.record_served_epoch(epoch);
-        Ok(Value::object()
-            .with("epoch", Value::Int(epoch as i64))
-            .with("pairs", Value::Array(rows.iter().map(pair_value).collect()))
-            .with("epochs", epochs_value(&gather.epochs)))
-    }
-
-    fn dispatch_border(
-        &self,
-        support: Option<f64>,
-        support_fraction: Option<f64>,
-        max_level: Option<usize>,
-        ctx: &ServiceCtx<'_>,
-    ) -> Result<Value, ServiceFailure> {
-        // Argument validation mirrors the standalone server verbatim.
-        let support = support.unwrap_or(0.01);
-        if !(0.0..=1.0).contains(&support) {
-            return Err(ServiceFailure::other(format!(
-                "'support' must be in [0,1], got {support}"
-            )));
-        }
-        let fraction = support_fraction.unwrap_or(0.3);
-        if !(fraction > 0.25 && fraction <= 1.0) {
-            return Err(ServiceFailure::other(format!(
-                "'support_fraction' must be in (0.25,1], got {fraction}"
-            )));
-        }
-        let config = MinerConfig {
-            support: SupportSpec::Fraction(support),
-            support_fraction: fraction,
-            max_level: max_level.unwrap_or(usize::MAX),
-            ..MinerConfig::default()
-        };
-        // Marginals from a singleton scatter; the level-wise miner then
-        // counts each candidate level with one scatter per level. The
-        // epoch vector must hold still across every scatter, or the
-        // levels would mix inconsistent snapshots — gather-then-Möbius
-        // is only exact at one cut.
-        let singletons: Vec<Vec<ItemId>> = (0..self.config.n_items)
-            .map(|item| vec![ItemId(item as u32)])
-            .collect();
-        let first = self.scatter_supports(&singletons)?;
-        if first.n == 0 {
-            return Err(engine_failure(EngineError::EmptySnapshot));
-        }
-        let epochs = first.epochs.clone();
-        let marginals = Marginals {
-            n_baskets: first.n,
-            item_counts: first.supports,
-        };
-        let count = |candidates: &[Itemset]| -> Result<Vec<u64>, ServiceFailure> {
-            let subsets: Vec<Vec<ItemId>> =
-                candidates.iter().map(|set| set.items().to_vec()).collect();
-            let level = self.scatter_supports(&subsets)?;
-            if level.epochs != epochs {
-                return Err(ServiceFailure::unavailable(
-                    "snapshot moved during border evaluation (concurrent ingest); retry",
-                ));
-            }
-            if ctx.over_deadline() {
-                return Err(ServiceFailure::deadline(ctx.config.request_deadline));
-            }
-            Ok(level.supports)
-        };
-        let result = mine_with_counter(&marginals, count, &config)?;
-        let epoch: u64 = epochs.iter().sum();
-        ctx.metrics.record_served_epoch(epoch);
-        Ok(border_value(&result, epoch).with("epochs", epochs_value(&epochs)))
-    }
-
     fn dispatch_ingest(&self, baskets: Vec<Vec<u32>>) -> Result<Value, ServiceFailure> {
         let total = baskets.len();
         // With fencing, a promoted follower *is* the slot's primary at
@@ -1018,7 +731,7 @@ impl CoordinatorService {
             })?;
         }
         // Fresh epoch vector after the writes landed.
-        let gather = self.scatter_supports(&[])?;
+        let gather = self.scatter_supports::<Vec<ItemId>>(&[])?;
         Ok(Value::object()
             .with("ingested", Value::Int(total as i64))
             .with("epoch", Value::Int(gather.epoch_sum() as i64))
@@ -1259,41 +972,6 @@ impl CoordinatorService {
             .with("quarantined", Value::Int(totals.quarantined as i64))
             .with("shards", Value::Array(rows)))
     }
-
-    fn dispatch_support_vec(
-        &self,
-        itemsets: Vec<Vec<u32>>,
-        ctx: &ServiceCtx<'_>,
-    ) -> Result<Value, ServiceFailure> {
-        let n_items = self.config.n_items;
-        let mut subsets: Vec<Vec<ItemId>> = Vec::with_capacity(itemsets.len());
-        for items in &itemsets {
-            if let Some(&bad) = items.iter().find(|&&id| id as usize >= n_items) {
-                return Err(ServiceFailure::other(format!(
-                    "item id {bad} out of range (store has {n_items} items)"
-                )));
-            }
-            let set = Itemset::from_ids(items.iter().copied());
-            subsets.push(set.items().to_vec());
-        }
-        let gather = self.scatter_supports(&subsets)?;
-        let epoch = gather.epoch_sum();
-        ctx.metrics.record_served_epoch(epoch);
-        Ok(Value::object()
-            .with("epoch", Value::Int(epoch as i64))
-            .with("n", Value::Int(gather.n as i64))
-            .with(
-                "supports",
-                Value::Array(
-                    gather
-                        .supports
-                        .iter()
-                        .map(|&s| Value::Int(s as i64))
-                        .collect(),
-                ),
-            )
-            .with("epochs", epochs_value(&gather.epochs)))
-    }
 }
 
 impl Service for CoordinatorService {
@@ -1309,22 +987,12 @@ impl Service for CoordinatorService {
         match request {
             Request::Ping => Ok(Value::object().with("pong", Value::Bool(true))),
             Request::Shutdown => Ok(Value::object().with("stopping", Value::Bool(true))),
-            Request::Chi2 { items } => self.dispatch_chi2(items, ctx),
-            Request::Chi2Batch { itemsets } => self.dispatch_chi2_batch(itemsets, ctx),
-            Request::Interest { items, cell } => self.dispatch_interest(items, cell, ctx),
-            Request::TopK { k } => self.dispatch_topk(k, ctx),
-            Request::Border {
-                support,
-                support_fraction,
-                max_level,
-            } => self.dispatch_border(support, support_fraction, max_level, ctx),
             Request::Ingest { baskets } => {
                 let n = baskets.len() as u64;
                 let response = self.dispatch_ingest(baskets)?;
                 ctx.metrics.record_ingest(n);
                 Ok(response)
             }
-            Request::SupportVec { itemsets } => self.dispatch_support_vec(itemsets, ctx),
             Request::Stats => self.dispatch_stats(ctx),
             Request::Metrics => {
                 Ok(Value::object().with("text", Value::Str(self.federated_metrics(ctx.metrics))))
@@ -1346,7 +1014,60 @@ impl Service for CoordinatorService {
             Request::Demote { .. } => Err(ServiceFailure::other(
                 "not a shard node: 'demote' targets generation-fenced shard processes".to_string(),
             )),
+            query => {
+                let source = ScatterSource {
+                    coordinator: self,
+                    ctx,
+                    epochs: OnceCell::new(),
+                };
+                let payload = dispatch_query(&source, query, ctx)?;
+                let epochs = source.epochs.get().map_or(&[][..], Vec::as_slice);
+                Ok(payload.with("epochs", epochs_value(epochs)))
+            }
         }
+    }
+}
+
+/// The scatter-gather [`SupportSource`] of one request: each read is one
+/// `support_vec` scatter, merged by integer addition. The first read pins
+/// the request's epoch vector; a later read at another vector (ingest
+/// landed in between) fails retryably, since gather-then-Möbius is exact
+/// only at one cut.
+struct ScatterSource<'a> {
+    coordinator: &'a CoordinatorService,
+    ctx: &'a ServiceCtx<'a>,
+    epochs: OnceCell<Vec<u64>>,
+}
+
+impl SupportSource for ScatterSource<'_> {
+    type Error = ServiceFailure;
+
+    fn test(&self) -> &Chi2Test {
+        &self.coordinator.test
+    }
+
+    fn n_items(&self) -> usize {
+        self.coordinator.config.n_items
+    }
+
+    fn read_supports<T: Borrow<[ItemId]>>(
+        &self,
+        subsets: &[T],
+    ) -> Result<(Vec<u64>, Cut), ServiceFailure> {
+        let gather = self.coordinator.scatter_supports(subsets)?;
+        if *self.epochs.get_or_init(|| gather.epochs.clone()) != gather.epochs {
+            return Err(ServiceFailure::unavailable(
+                "snapshot moved between reads of one request (concurrent ingest); retry",
+            ));
+        }
+        if self.ctx.over_deadline() {
+            return Err(ServiceFailure::deadline(self.ctx.config.request_deadline));
+        }
+        let cut = Cut {
+            n: gather.n,
+            epoch: gather.epoch_sum(),
+        };
+        Ok((gather.supports, cut))
     }
 }
 
@@ -1382,11 +1103,6 @@ fn parse_support_answer(value: &Value, expected: usize) -> Result<ShardAnswer, S
 
 fn malformed(what: &str) -> ServiceFailure {
     ServiceFailure::io(format!("malformed shard support_vec response: {what}"))
-}
-
-/// An engine-shaped error, with the standalone server's exact message.
-fn engine_failure(error: EngineError) -> ServiceFailure {
-    ServiceFailure::other(error.to_string())
 }
 
 /// Decodes a remote node's `trace` response back into span records

@@ -6,11 +6,11 @@
 //! * [`Partitioner`] routes ingested baskets to shards with a pure,
 //!   seeded hash of the basket id (round-robin as a fallback);
 //! * [`CoordinatorService`] speaks the standalone server's protocol
-//!   unchanged, scattering every query as a `support_vec` request,
-//!   summing the shards' integer support vectors, and running the exact
-//!   Möbius-inversion + χ² code path a single store uses — so answers
-//!   are **bit-identical** (f64 bit patterns) to an unsharded store at
-//!   the same epoch-vector cut;
+//!   unchanged: it scatters each support read of a query as a
+//!   `support_vec` request, sums the shards' integer support vectors, and
+//!   hands them to the same evaluation a single store's snapshot feeds
+//!   (`bmb_core::source`) — so answers are **bit-identical** (f64 bit
+//!   patterns) to an unsharded store at the same epoch-vector cut;
 //! * [`NodeService`] + [`Replicator`] implement WAL-shipping
 //!   replication with **generation fencing**: a warm standby tails a
 //!   primary's write-ahead log, meters its lag, and takes over on

@@ -2,16 +2,17 @@
 //! byte for byte, f64 bit pattern for bit pattern — what a single store
 //! holding the same baskets answers.
 //!
-//! One seeded Quest workload is ingested three ways: straight into a
-//! plain server, through a 1-shard cluster, and through a 4-shard
-//! cluster. The same query script then runs against all three over real
+//! One seeded Quest workload (and, separately, no baskets at all) is
+//! ingested three ways: straight into a plain server, through a 1-shard
+//! cluster, and through a 4-shard cluster. The same query script then runs against all three over real
 //! TCP, and every response line must match after stripping the two
 //! fields that legitimately differ: the top-level `trace` id and the
 //! cluster-only `epochs` vector inside the result. Everything else —
 //! supports, χ² statistics, p-values, interest ratios, border itemsets,
 //! error messages, even the scalar `epoch` (shard epochs sum to the
 //! plain store's) — must be identical, because the coordinator merges
-//! integer supports and reruns the very same float code path.
+//! integer supports and hands them to the very evaluation a plain
+//! server's snapshot feeds.
 
 use std::sync::Arc;
 
@@ -180,28 +181,38 @@ fn run_script(addr: std::net::SocketAddr) -> Vec<String> {
         .collect()
 }
 
+/// Runs over two bases: the Quest workload, and an empty store (which
+/// pins `EmptySnapshot` before `ItemOutOfRange`, and top-k and border on
+/// a store with no baskets).
 #[test]
 fn cluster_answers_are_byte_identical_to_a_single_store() {
-    let baskets = quest_baskets();
-    let (plain_running, plain_addr) = spawn_plain(&baskets);
-    let (shards1, coord1, addr1, _) = spawn_cluster(1, &baskets);
-    let (shards4, coord4, addr4, _) = spawn_cluster(4, &baskets);
+    for (base, baskets) in [("quest", quest_baskets()), ("empty", Vec::new())] {
+        let (plain_running, plain_addr) = spawn_plain(&baskets);
+        let (shards1, coord1, addr1, _) = spawn_cluster(1, &baskets);
+        let (shards4, coord4, addr4, _) = spawn_cluster(4, &baskets);
 
-    let plain = run_script(plain_addr);
-    let one = run_script(addr1);
-    let four = run_script(addr4);
+        let plain = run_script(plain_addr);
+        let one = run_script(addr1);
+        let four = run_script(addr4);
 
-    for ((p, o), f) in plain.iter().zip(&one).zip(&four) {
-        assert_eq!(p, o, "1-shard cluster diverged from the single store");
-        assert_eq!(p, f, "4-shard cluster diverged from the single store");
+        for ((p, o), f) in plain.iter().zip(&one).zip(&four) {
+            assert_eq!(
+                p, o,
+                "{base}: 1-shard cluster diverged from the single store"
+            );
+            assert_eq!(
+                p, f,
+                "{base}: 4-shard cluster diverged from the single store"
+            );
+        }
+
+        coord1.stop().expect("stop 1-shard coordinator");
+        coord4.stop().expect("stop 4-shard coordinator");
+        for s in shards1.into_iter().chain(shards4) {
+            s.stop().expect("stop shard");
+        }
+        plain_running.stop().expect("stop plain server");
     }
-
-    coord1.stop().expect("stop 1-shard coordinator");
-    coord4.stop().expect("stop 4-shard coordinator");
-    for s in shards1.into_iter().chain(shards4) {
-        s.stop().expect("stop shard");
-    }
-    plain_running.stop().expect("stop plain server");
 }
 
 /// The acceptance criterion stated in terms of raw f64 bit patterns:

@@ -2,7 +2,7 @@
 //!
 //! The miner needs, at each level, the support `O(S)` of every candidate.
 //! Both strategies of [`crate::config::CountingStrategy`] are implemented,
-//! each optionally parallelized with crossbeam scoped threads. Full
+//! each optionally parallelized with scoped threads. Full
 //! contingency tables are then assembled *without further passes*: every
 //! proper subset of a candidate was itself counted at a lower level (that
 //! is the invariant of candidate generation), so the `2^m` cell counts
@@ -68,9 +68,10 @@ impl MarginalSource for Marginals {
     }
 }
 
-/// Rejoins a scoped-thread result, re-raising a worker's panic payload
-/// in the calling thread. Unlike `.expect(...)`, the original panic
-/// message and location survive intact.
+/// Unwraps a joined scoped thread's result, re-raising a worker's panic
+/// payload in the calling thread. Unlike `.expect(...)` (or an unjoined
+/// thread, which `std::thread::scope` reports as a generic panic), the
+/// original panic message and location survive intact.
 pub(crate) fn propagate<T>(result: Result<T, Box<dyn std::any::Any + Send + 'static>>) -> T {
     match result {
         Ok(value) => value,
@@ -144,15 +145,20 @@ pub fn count_with_bitmaps(index: &BitmapIndex, candidates: &[Itemset], threads: 
     }
     let mut out = vec![0u64; candidates.len()];
     let chunk = candidates.len().div_ceil(threads);
-    propagate(crossbeam::thread::scope(|scope| {
-        for (cand_chunk, out_chunk) in candidates.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
-                for (c, slot) in cand_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = index.support_count(c.items());
-                }
-            });
-        }
-    }));
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = candidates
+            .chunks(chunk)
+            .zip(out.chunks_mut(chunk))
+            .map(|(cand_chunk, out_chunk)| {
+                scope.spawn(move || {
+                    for (c, slot) in cand_chunk.iter().zip(out_chunk.iter_mut()) {
+                        *slot = index.support_count(c.items());
+                    }
+                })
+            })
+            .collect();
+        handles.into_iter().for_each(|h| propagate(h.join()));
+    });
     out
 }
 
@@ -198,17 +204,17 @@ pub fn count_with_scan(db: &BasketDatabase, candidates: &[Itemset], threads: usi
         return count_range(0, n);
     }
     let chunk = n.div_ceil(threads);
-    let partials: Vec<Vec<u64>> = propagate(crossbeam::thread::scope(|scope| {
+    let partials: Vec<Vec<u64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(n);
                 let count_range = &count_range;
-                scope.spawn(move |_| count_range(lo, hi))
+                scope.spawn(move || count_range(lo, hi))
             })
             .collect();
         handles.into_iter().map(|h| propagate(h.join())).collect()
-    }));
+    });
     let mut out = vec![0u64; candidates.len()];
     for partial in partials {
         for (acc, v) in out.iter_mut().zip(partial) {
@@ -354,10 +360,10 @@ pub fn merge_support_vectors(acc: &mut [u64], shard: &[u64]) {
 
 /// Möbius inversion of a complete support vector (in
 /// [`subset_itemsets`] order) into the `2^m` contingency table of
-/// `set`. This is the same inversion [`try_table_from_supports`] and
-/// `Snapshot::contingency_table` run — one shared code path, so a
-/// coordinator that gathers and sums per-shard vectors, then calls
-/// this, reproduces the single-store table bit for bit.
+/// `set`. The miner ([`try_table_from_supports`]) and every query
+/// answered through [`crate::source`] use this one inversion, so a
+/// coordinator that gathers and sums per-shard vectors reproduces the
+/// single-store table bit for bit.
 ///
 /// # Panics
 ///
@@ -538,6 +544,18 @@ mod tests {
             let direct = ContingencyTable::from_database(&whole, &set);
             assert_eq!(gathered, direct, "mismatch for {set}");
         }
+    }
+
+    #[test]
+    fn a_worker_panic_resurfaces_with_its_own_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            std::thread::scope(|scope| {
+                let worker = scope.spawn(|| -> u64 { panic!("worker payload") });
+                propagate(worker.join())
+            })
+        });
+        let payload = caught.expect_err("the worker panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker payload"));
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! The online correlation-query engine behind `bmb-serve`.
+//! The online correlation-query engine behind `bmb-serve`: the local
+//! [`SupportSource`].
 //!
-//! A [`QueryEngine`] answers chi-squared / interest / top-k / border
-//! queries against epoch-pinned [`Snapshot`]s of an [`IncrementalStore`],
-//! with two capacity-bounded caches:
+//! A [`QueryEngine`] pins [`Snapshot`]s of an [`IncrementalStore`] and
+//! hands each to the shared evaluation of [`crate::source`] as a
+//! [`SnapshotSource`]. Point queries (chi-squared, interest) read their
+//! tables through two capacity-bounded caches:
 //!
 //! * a **table cache** keyed by `(itemset, epoch)` — a full assembled
 //!   [`ContingencyTable`]; entries for stale epochs simply stop being hit
@@ -13,20 +15,26 @@
 //!   tail contribution is recomputed, which is the "invalidated
 //!   per-segment" behaviour a mostly-append workload wants.
 //!
-//! Every answer is bit-identical to the batch pipeline on the same epoch:
-//! snapshot supports are exact sums over a partition of the baskets, and
-//! tables are assembled by the same Möbius inversion the miner uses.
+//! Sweeps (top-k pairs, the border's level counts, raw support vectors)
+//! read the segments' bitmap indexes directly, so they cannot evict hot
+//! point-query entries. Every answer is bit-identical to the batch
+//! pipeline on the same epoch: snapshot supports are exact sums over a
+//! partition of the baskets, and tables come from the one Möbius
+//! inversion every path uses.
 
+use std::borrow::Borrow;
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use bmb_basket::{ContingencyTable, IncrementalStore, ItemId, Itemset, Segment, Snapshot};
 use bmb_obs::{Counter, Registry};
-use bmb_stats::{Chi2Outcome, Chi2Test, DfConvention, InterestReport, SignificanceLevel};
+use bmb_stats::{Chi2Outcome, Chi2Test, DfConvention, SignificanceLevel};
 
 use crate::config::MinerConfig;
+use crate::counting::table_from_subset_supports;
 use crate::lru::LruCache;
-use crate::miner::{mine, MiningResult};
-use crate::report::PairCorrelation;
+use crate::miner::MiningResult;
+use crate::source::{self, Cut, SupportSource};
 
 /// Largest itemset a point query may name; bounds the `2^m` table work a
 /// single request can demand.
@@ -85,6 +93,11 @@ pub enum EngineError {
     },
     /// The snapshot holds no baskets, so no statistic is defined.
     EmptySnapshot,
+    /// The request's time budget ran out before the reads finished.
+    DeadlineExceeded {
+        /// The budget that was exceeded.
+        budget: Duration,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -107,6 +120,7 @@ impl std::fmt::Display for EngineError {
                 write!(f, "cell {cell} out of range for a {dims}-item table")
             }
             EngineError::EmptySnapshot => write!(f, "no baskets ingested yet"),
+            EngineError::DeadlineExceeded { budget } => write!(f, "deadline exceeded ({budget:?})"),
         }
     }
 }
@@ -255,6 +269,17 @@ impl QueryEngine {
         }
     }
 
+    /// The support source for queries at `snap`'s epoch: point queries
+    /// go through the table and segment caches, sweeps read the snapshot
+    /// directly.
+    pub fn source<'a>(&'a self, snap: &'a Snapshot) -> SnapshotSource<'a> {
+        SnapshotSource {
+            engine: self,
+            snap,
+            deadline: None,
+        }
+    }
+
     /// The contingency table of `set` at `snap`'s epoch, from cache or
     /// assembled from per-segment supports.
     ///
@@ -267,18 +292,7 @@ impl QueryEngine {
         snap: &Snapshot,
         set: &Itemset,
     ) -> Result<Arc<ContingencyTable>, EngineError> {
-        self.validate(snap, set)?;
-        let key = (set.clone(), snap.epoch());
-        if let Some(table) = lock(&self.tables).get(&key) {
-            self.table_hits.inc();
-            return Ok(Arc::clone(table));
-        }
-        self.table_misses.inc();
-        let table = Arc::new(self.assemble_table(snap, set));
-        if lock(&self.tables).insert(key, Arc::clone(&table)) {
-            self.table_evictions.inc();
-        }
-        Ok(table)
+        source::table(&self.source(snap), set).map(|(table, _)| table)
     }
 
     /// Chi-squared verdict for `set` at `snap`'s epoch.
@@ -287,104 +301,12 @@ impl QueryEngine {
     ///
     /// Same conditions as [`QueryEngine::table`].
     pub fn chi2(&self, snap: &Snapshot, set: &Itemset) -> Result<Chi2Answer, EngineError> {
-        let table = self.table(snap, set)?;
-        let full_cell = (1u32 << set.len()) - 1;
-        Ok(Chi2Answer {
-            itemset: set.clone(),
-            epoch: snap.epoch(),
-            support: table.observed(full_cell),
-            outcome: self.test.test_dense(&table),
-        })
+        source::chi2(&self.source(snap), set)
     }
 
-    /// Batched point chi-squared lookups over one pinned snapshot: every
-    /// answer refers to the same epoch.
-    pub fn chi2_batch(
-        &self,
-        snap: &Snapshot,
-        sets: &[Itemset],
-    ) -> Vec<Result<Chi2Answer, EngineError>> {
-        sets.iter().map(|set| self.chi2(snap, set)).collect()
-    }
-
-    /// Interest `I(r) = O(r)/E[r]` of one cell of `set`'s table.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::table`], plus an out-of-range
-    /// cell mask.
-    pub fn interest(
-        &self,
-        snap: &Snapshot,
-        set: &Itemset,
-        cell: u32,
-    ) -> Result<InterestAnswer, EngineError> {
-        let table = self.table(snap, set)?;
-        if cell as usize >= table.n_cells() {
-            return Err(EngineError::CellOutOfRange {
-                cell,
-                dims: table.dims(),
-            });
-        }
-        let report = InterestReport::analyze(&table);
-        let info = report.cells()[cell as usize];
-        Ok(InterestAnswer {
-            itemset: set.clone(),
-            cell,
-            epoch: snap.epoch(),
-            observed: info.observed,
-            expected: info.expected,
-            interest: info.interest,
-        })
-    }
-
-    /// The `k` most correlated item *pairs* at `snap`'s epoch, ranked by
-    /// chi-squared statistic (descending). Pair tables are derived from
-    /// marginals plus one pair support each, bypassing the caches so a
-    /// sweep cannot evict hot point-query entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::EmptySnapshot`] when nothing was ingested.
-    pub fn topk_pairs(
-        &self,
-        snap: &Snapshot,
-        k: usize,
-    ) -> Result<Vec<PairCorrelation>, EngineError> {
-        if snap.is_empty() {
-            return Err(EngineError::EmptySnapshot);
-        }
-        let n_items = snap.n_items();
-        let n = snap.n_baskets() as u64;
-        let item_counts: Vec<u64> = (0..n_items)
-            .map(|i| snap.item_count(ItemId(i as u32)))
-            .collect();
-        let mut rows: Vec<PairCorrelation> = Vec::new();
-        for a in 0..n_items {
-            for b in a + 1..n_items {
-                let set = Itemset::from_ids([a as u32, b as u32]);
-                let s_ab = snap.support(set.items());
-                let (o_a, o_b) = (item_counts[a], item_counts[b]);
-                // Cell masks: bit0 = a present, bit1 = b present.
-                let counts = vec![(n + s_ab) - o_a - o_b, o_a - s_ab, o_b - s_ab, s_ab];
-                let table = ContingencyTable::from_counts(set, counts);
-                rows.push(PairCorrelation::from_table(&table, &self.test));
-            }
-        }
-        rows.sort_unstable_by(|x, y| {
-            y.chi2
-                .statistic
-                .total_cmp(&x.chi2.statistic)
-                .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-        });
-        rows.truncate(k);
-        Ok(rows)
-    }
-
-    /// The border of correlation at `snap`'s epoch: materializes the
-    /// snapshot and runs the batch miner, so the answer is — by
-    /// construction — identical to a batch run over the same baskets.
-    /// This is the service's heavyweight analytical query.
+    /// The border of correlation at `snap`'s epoch: the batch miner,
+    /// counting each level over the snapshot's segments, so the answer is
+    /// identical to a batch run over the same baskets.
     ///
     /// # Errors
     ///
@@ -398,59 +320,39 @@ impl QueryEngine {
         snap: &Snapshot,
         config: &MinerConfig,
     ) -> Result<MiningResult, EngineError> {
-        if snap.is_empty() {
-            return Err(EngineError::EmptySnapshot);
-        }
-        Ok(mine(&snap.to_database(), config))
+        source::border(&self.source(snap), config).map(|(result, _)| result)
     }
 
-    /// Validates a point query against the snapshot.
-    fn validate(&self, snap: &Snapshot, set: &Itemset) -> Result<(), EngineError> {
-        if set.is_empty() {
-            return Err(EngineError::EmptyItemset);
+    /// `set`'s table at `snap`'s epoch from the table cache, or assembled
+    /// from per-segment supports by Möbius inversion and cached.
+    fn cached_table(&self, snap: &Snapshot, set: &Itemset) -> Arc<ContingencyTable> {
+        let key = (set.clone(), snap.epoch());
+        if let Some(table) = lock(&self.tables).get(&key) {
+            self.table_hits.inc();
+            return Arc::clone(table);
         }
-        if set.len() > MAX_QUERY_DIMS {
-            return Err(EngineError::TooManyItems { len: set.len() });
-        }
-        if snap.is_empty() {
-            return Err(EngineError::EmptySnapshot);
-        }
-        for &item in set.items() {
-            if item.index() >= snap.n_items() {
-                return Err(EngineError::ItemOutOfRange {
-                    item,
-                    n_items: snap.n_items(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Assembles `set`'s table from per-segment supports by Möbius
-    /// inversion (sealed-segment supports served from cache).
-    fn assemble_table(&self, snap: &Snapshot, set: &Itemset) -> ContingencyTable {
+        self.table_misses.inc();
         let m = set.len();
         let items = set.items();
-        let mut supp: Vec<i64> = vec![0; 1 << m];
         let mut subset: Vec<ItemId> = Vec::with_capacity(m);
-        for mask in 0u32..(1 << m) {
-            subset.clear();
-            subset.extend((0..m).filter(|&j| mask & (1 << j) != 0).map(|j| items[j]));
-            let mut total: u64 = snap.tail_segment().map_or(0, |tail| tail.support(&subset));
-            for segment in snap.sealed_segments() {
-                total += self.sealed_support(segment, &subset);
-            }
-            supp[mask as usize] = total as i64;
+        let supports: Vec<u64> = (0u32..1 << m)
+            .map(|mask| {
+                subset.clear();
+                subset.extend((0..m).filter(|&j| mask & (1 << j) != 0).map(|j| items[j]));
+                let tail = snap.tail_segment().map_or(0, |tail| tail.support(&subset));
+                let sealed: u64 = snap
+                    .sealed_segments()
+                    .iter()
+                    .map(|segment| self.sealed_support(segment, &subset))
+                    .sum();
+                tail + sealed
+            })
+            .collect();
+        let table = Arc::new(table_from_subset_supports(set, &supports));
+        if lock(&self.tables).insert(key, Arc::clone(&table)) {
+            self.table_evictions.inc();
         }
-        for bit in 0..m {
-            for mask in 0..(1u32 << m) {
-                if mask & (1 << bit) == 0 {
-                    supp[mask as usize] -= supp[(mask | (1 << bit)) as usize];
-                }
-            }
-        }
-        let counts: Vec<u64> = supp.into_iter().map(|c| c.max(0) as u64).collect();
-        ContingencyTable::from_counts(set.clone(), counts)
+        table
     }
 
     /// `O(subset)` within one *sealed* segment, via the per-segment cache.
@@ -477,6 +379,81 @@ impl QueryEngine {
     }
 }
 
+/// The local [`SupportSource`]: one engine at one pinned snapshot.
+pub struct SnapshotSource<'a> {
+    engine: &'a QueryEngine,
+    snap: &'a Snapshot,
+    /// When reads must stop: the start instant and the budget after it.
+    deadline: Option<(Instant, Duration)>,
+}
+
+impl SnapshotSource<'_> {
+    /// Stops reads with [`EngineError::DeadlineExceeded`] once `budget`
+    /// has passed since `start`.
+    pub fn with_deadline(mut self, start: Instant, budget: Duration) -> Self {
+        self.deadline = Some((start, budget));
+        self
+    }
+
+    fn check_deadline(&self) -> Result<(), EngineError> {
+        match self.deadline {
+            Some((start, budget)) if start.elapsed() > budget => {
+                Err(EngineError::DeadlineExceeded { budget })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    fn cut(&self) -> Cut {
+        Cut {
+            n: self.snap.n_baskets() as u64,
+            epoch: self.snap.epoch(),
+        }
+    }
+}
+
+impl SupportSource for SnapshotSource<'_> {
+    type Error = EngineError;
+
+    fn test(&self) -> &Chi2Test {
+        &self.engine.test
+    }
+
+    fn n_items(&self) -> usize {
+        self.snap.n_items()
+    }
+
+    /// Sweeps every segment's bitmap index, one segment at a time,
+    /// bypassing the caches so a sweep cannot evict hot point-query
+    /// entries.
+    fn read_supports<T: Borrow<[ItemId]>>(
+        &self,
+        subsets: &[T],
+    ) -> Result<(Vec<u64>, Cut), EngineError> {
+        let mut supports = vec![0u64; subsets.len()];
+        for segment in self.snap.segments() {
+            self.check_deadline()?;
+            for (support, subset) in supports.iter_mut().zip(subsets) {
+                *support += segment.support(subset.borrow());
+            }
+        }
+        Ok((supports, self.cut()))
+    }
+
+    fn tables(&self, sets: &[Itemset]) -> Result<(Vec<Arc<ContingencyTable>>, Cut), EngineError> {
+        let cut = self.cut();
+        if cut.n == 0 {
+            return Ok((Vec::new(), cut));
+        }
+        let mut tables = Vec::with_capacity(sets.len());
+        for set in sets {
+            self.check_deadline()?;
+            tables.push(self.engine.cached_table(self.snap, set));
+        }
+        Ok((tables, cut))
+    }
+}
+
 /// Acquires a mutex, recovering from poisoning (cache state is always
 /// consistent — the critical sections contain no panicking operations on
 /// valid inputs).
@@ -487,6 +464,7 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::miner::mine;
     use bmb_basket::StoreConfig;
 
     fn store_with(baskets: &[Vec<u32>], segment_capacity: usize) -> Arc<IncrementalStore> {
@@ -587,7 +565,7 @@ mod tests {
     fn topk_ranks_by_statistic_and_matches_pairs_report() {
         let (_store, engine) = census_engine();
         let snap = engine.snapshot();
-        let top = engine.topk_pairs(&snap, 5).unwrap();
+        let (top, _) = source::topk_pairs(&engine.source(&snap), 5).unwrap();
         assert_eq!(top.len(), 5);
         assert!(top
             .windows(2)
@@ -648,9 +626,7 @@ mod tests {
             EngineError::TooManyItems { .. }
         ));
         assert!(matches!(
-            engine
-                .interest(&snap, &Itemset::from_ids([0, 1]), 4)
-                .unwrap_err(),
+            source::interest(&engine.source(&snap), &Itemset::from_ids([0, 1]), 4).unwrap_err(),
             EngineError::CellOutOfRange { .. }
         ));
         let empty = QueryEngine::new(
@@ -672,7 +648,7 @@ mod tests {
         let snap = engine.snapshot();
         let set = Itemset::from_ids([2, 7]);
         // Paper Table 2, (i2, i7): I(āb̄) = 1.988 — mask 0b00.
-        let answer = engine.interest(&snap, &set, 0b00).unwrap();
+        let answer = source::interest(&engine.source(&snap), &set, 0b00).unwrap();
         assert!((answer.interest - 1.988).abs() < 0.05, "{answer:?}");
     }
 }

@@ -29,8 +29,10 @@
 //! * [`locality`] — spatial-locality rules over ordered baskets (the
 //!   conclusion's first future-work item);
 //! * [`counting`] — batch support counting and Möbius table assembly;
+//! * [`source`] — the one evaluation of every correlation query over
+//!   any [`SupportSource`];
 //! * [`engine`] / [`lru`] — the online query engine over incremental
-//!   snapshots, with its LRU contingency-table cache;
+//!   snapshots (the local support source), with its LRU caches;
 //! * [`report`] — pairwise χ²-and-interest reports (Table 2);
 //! * [`stats`] — per-level accounting (Table 5);
 //! * [`sig`] — the significant-itemset output type.
@@ -57,6 +59,8 @@ pub mod prune;
 pub mod report;
 /// The significant-itemset output type and its major dependences.
 pub mod sig;
+/// The support-source trait and the query evaluation written over it.
+pub mod source;
 /// Per-level mining statistics (the paper's Table 5).
 pub mod stats;
 /// Cell-based support counting over contingency tables (Section 4).
@@ -72,11 +76,13 @@ pub use counting::{
     merge_support_vectors, subset_itemsets, table_from_subset_supports, MarginalSource, Marginals,
 };
 pub use engine::{
-    CacheStats, Chi2Answer, EngineConfig, EngineError, InterestAnswer, QueryEngine, MAX_QUERY_DIMS,
+    CacheStats, Chi2Answer, EngineConfig, EngineError, InterestAnswer, QueryEngine, SnapshotSource,
+    MAX_QUERY_DIMS,
 };
 pub use locality::{locality_test, mine_locality, LocalityReport};
 pub use miner::{mine, mine_with_counter, LevelProfile, MinerProfile, MiningResult};
 pub use report::{pairs_report, PairCorrelation};
 pub use sig::CorrelationRule;
+pub use source::{Cut, SupportSource};
 pub use stats::{lattice_level_size, LevelStats};
 pub use walk_miner::{mine_walk, WalkMiningResult};

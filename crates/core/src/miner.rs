@@ -436,13 +436,13 @@ fn evaluate_candidates<M: MarginalSource + Sync>(
             .collect();
     }
     let chunk = candidates.len().div_ceil(threads);
-    let scoped = crossbeam::thread::scope(|scope| {
+    let chunks: Vec<Vec<Verdict>> = std::thread::scope(|scope| {
         let evaluate = &evaluate;
         let handles: Vec<_> = candidates
             .chunks(chunk)
             .zip(supports.chunks(chunk))
             .map(|(cand_chunk, supp_chunk)| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     cand_chunk
                         .iter()
                         .zip(supp_chunk)
@@ -454,12 +454,9 @@ fn evaluate_candidates<M: MarginalSource + Sync>(
         handles
             .into_iter()
             .map(|h| crate::counting::propagate(h.join()))
-            .collect::<Vec<Vec<Verdict>>>()
+            .collect()
     });
-    crate::counting::propagate(scoped)
-        .into_iter()
-        .flatten()
-        .collect()
+    chunks.into_iter().flatten().collect()
 }
 
 /// Step 3: the initial pair candidates under the chosen level-1 policy.

@@ -35,6 +35,7 @@
 //! * [`scrubber`] — the background integrity scrubber and wire repair peer;
 //! * [`json`] — the hand-rolled JSON value/parser/serializer;
 //! * [`protocol`] — request/response shapes of the wire protocol;
+//! * [`query`] — the query commands, answered once for every service;
 //! * [`server`] — accept loop, worker pool, graceful shutdown;
 //! * [`client`] — a small blocking client;
 //! * [`metrics`] — request counters and latency percentiles.
@@ -51,6 +52,8 @@ pub mod json;
 pub mod metrics;
 /// The line-delimited JSON wire protocol.
 pub mod protocol;
+/// The query commands, answered from any support source.
+pub mod query;
 /// The background integrity scrubber and the wire repair peer.
 pub mod scrubber;
 /// The TCP server: accept loop, worker pool, shutdown.
@@ -60,6 +63,7 @@ pub use checkpointer::{Checkpointer, CheckpointerConfig};
 pub use client::{Client, ClientError, RetryClient, RetryPolicy};
 pub use metrics::{ErrorCategory, MetricsSnapshot, ServerMetrics};
 pub use protocol::{parse_request, Envelope, Request, HELLO};
+pub use query::dispatch_query;
 pub use scrubber::{Scrubber, ScrubberConfig, WirePeer};
 pub use server::{
     events_value, exposition, scrub_report_value, slow_exemplars_value, EngineService,

@@ -12,7 +12,7 @@
 //! bytes of every response shape.
 
 use bmb_basket::Itemset;
-use bmb_core::{Chi2Answer, EngineError, InterestAnswer};
+use bmb_core::{Chi2Answer, InterestAnswer};
 use bmb_core::{MiningResult, PairCorrelation};
 use bmb_obs::{SpanRecord, TraceId};
 
@@ -477,11 +477,6 @@ pub fn border_value(result: &MiningResult, epoch: u64) -> Value {
                     .collect(),
             ),
         )
-}
-
-/// Renders an engine error for the wire.
-pub fn engine_error_message(err: &EngineError) -> String {
-    err.to_string()
 }
 
 #[cfg(test)]

@@ -36,16 +36,17 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use bmb_basket::wal::DurableStore;
-use bmb_basket::{ItemId, Itemset};
-use bmb_core::{MinerConfig, QueryEngine, SupportSpec};
+use bmb_basket::ItemId;
+use bmb_core::QueryEngine;
 use bmb_obs::{Registry, RegistrySnapshot, Severity, SpanRecord, TraceId};
 
 use crate::json::Value;
 use crate::metrics::{ErrorCategory, ServerMetrics};
 use crate::protocol::{
-    border_value, chi2_value, error_response, fenced_error_response, interest_value, ok_response,
-    pair_value, parse_request, retryable_error_response, Request, HELLO,
+    error_response, fenced_error_response, ok_response, parse_request, retryable_error_response,
+    Request, HELLO,
 };
+use crate::query::dispatch_query;
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -246,7 +247,8 @@ impl Server {
         let rx = Mutex::new(rx);
         let workers = self.config.workers.max(1);
         let max_connections = self.config.max_connections.max(1) as u64;
-        let result = crossbeam::thread::scope(|scope| {
+        let panicked = std::thread::scope(|scope| {
+            let mut threads = Vec::with_capacity(workers + 1);
             for _ in 0..workers {
                 let ctx = ConnectionContext {
                     service: self.service.as_ref(),
@@ -256,15 +258,15 @@ impl Server {
                     trace_seq: &self.trace_seq,
                 };
                 let rx = &rx;
-                scope.spawn(move |_| worker_loop(rx, ctx));
+                threads.push(scope.spawn(move || worker_loop(rx, ctx)));
             }
             if let Some(listener) = &self.metrics_listener {
                 let shutdown = shutdown.clone();
                 let service = self.service.as_ref();
                 let metrics = &self.metrics;
-                scope.spawn(move |_| {
+                threads.push(scope.spawn(move || {
                     metrics_http_loop(listener, shutdown, || service.render_metrics(metrics))
-                });
+                }));
             }
             // Acceptor: hand connections to the pool until shutdown.
             // Admission control happens here — a connection the pool
@@ -309,8 +311,12 @@ impl Server {
                 }
             }
             drop(tx); // Workers drain queued connections, then exit.
+
+            // Join every thread, so a panic is reported, not re-raised.
+            let outcomes: Vec<bool> = threads.into_iter().map(|t| t.join().is_err()).collect();
+            outcomes.contains(&true)
         });
-        if result.is_err() {
+        if panicked {
             return Err(io::Error::other("a server worker panicked"));
         }
         Ok(())
@@ -882,8 +888,8 @@ impl Service for EngineService {
     }
 }
 
-/// Executes one decoded request against the engine. `ctx.start` anchors
-/// the request's deadline budget.
+/// Executes one decoded request against the engine; the query commands
+/// go to [`dispatch_query`] over the engine's snapshot.
 fn dispatch_engine(
     engine: &Arc<QueryEngine>,
     durable: Option<&Arc<DurableStore>>,
@@ -891,93 +897,9 @@ fn dispatch_engine(
     request: Request,
     ctx: &ServiceCtx<'_>,
 ) -> Result<Value, ServiceFailure> {
-    let start = ctx.start;
     match request {
         Request::Ping => Ok(Value::object().with("pong", Value::Bool(true))),
         Request::Shutdown => Ok(Value::object().with("stopping", Value::Bool(true))),
-        Request::Chi2 { items } => {
-            let snap = engine.snapshot();
-            ctx.metrics.record_served_epoch(snap.epoch());
-            let set = Itemset::from_ids(items);
-            let answer = engine
-                .chi2(&snap, &set)
-                .map_err(|e| ServiceFailure::other(e.to_string()))?;
-            Ok(chi2_value(&answer))
-        }
-        Request::Chi2Batch { itemsets } => {
-            // One snapshot for the whole batch: every answer shares an epoch.
-            let snap = engine.snapshot();
-            ctx.metrics.record_served_epoch(snap.epoch());
-            let deadline = ctx.config.request_deadline;
-            let mut results: Vec<Value> = Vec::with_capacity(itemsets.len());
-            for items in itemsets {
-                // The batch stops (whole-request deadline error) rather
-                // than overrunning its budget item by item.
-                if start.elapsed() > deadline {
-                    return Err(ServiceFailure::deadline(deadline));
-                }
-                let set = Itemset::from_ids(items);
-                results.push(match engine.chi2(&snap, &set) {
-                    Ok(answer) => chi2_value(&answer),
-                    Err(e) => Value::object().with("error", Value::Str(e.to_string())),
-                });
-            }
-            Ok(Value::object()
-                .with("epoch", Value::Int(snap.epoch() as i64))
-                .with("results", Value::Array(results)))
-        }
-        Request::Interest { items, cell } => {
-            let snap = engine.snapshot();
-            ctx.metrics.record_served_epoch(snap.epoch());
-            let set = Itemset::from_ids(items);
-            let answer = engine
-                .interest(&snap, &set, cell)
-                .map_err(|e| ServiceFailure::other(e.to_string()))?;
-            Ok(interest_value(&answer))
-        }
-        Request::TopK { k } => {
-            let snap = engine.snapshot();
-            ctx.metrics.record_served_epoch(snap.epoch());
-            let pairs = engine
-                .topk_pairs(&snap, k)
-                .map_err(|e| ServiceFailure::other(e.to_string()))?;
-            Ok(Value::object()
-                .with("epoch", Value::Int(snap.epoch() as i64))
-                .with(
-                    "pairs",
-                    Value::Array(pairs.iter().map(pair_value).collect()),
-                ))
-        }
-        Request::Border {
-            support,
-            support_fraction,
-            max_level,
-        } => {
-            let support = support.unwrap_or(0.01);
-            if !(0.0..=1.0).contains(&support) {
-                return Err(ServiceFailure::other(format!(
-                    "'support' must be in [0,1], got {support}"
-                )));
-            }
-            let fraction = support_fraction.unwrap_or(0.3);
-            if !(fraction > 0.25 && fraction <= 1.0) {
-                return Err(ServiceFailure::other(format!(
-                    "'support_fraction' must be in (0.25,1], got {fraction}"
-                )));
-            }
-            let config = MinerConfig {
-                support: SupportSpec::Fraction(support),
-                support_fraction: fraction,
-                max_level: max_level.unwrap_or(usize::MAX),
-                ..MinerConfig::default()
-            };
-            let snap = engine.snapshot();
-            ctx.metrics.record_served_epoch(snap.epoch());
-            let result = engine
-                .border(&snap, &config)
-                .map_err(|e| ServiceFailure::other(e.to_string()))?;
-            Ok(border_value(&result, snap.epoch()))
-        }
         Request::Ingest { baskets } => {
             let n = baskets.len() as u64;
             let baskets = baskets
@@ -1086,39 +1008,6 @@ fn dispatch_engine(
             }
             Ok(Value::object().with("text", Value::Str(exposition(ctx.metrics, &registries))))
         }
-        Request::SupportVec { itemsets } => {
-            // One snapshot for the whole vector: every support shares an
-            // epoch — the invariant the coordinator's Möbius inversion
-            // and epoch-vector consistency depend on.
-            let snap = engine.snapshot();
-            ctx.metrics.record_served_epoch(snap.epoch());
-            let n_items = snap.n_items();
-            let deadline = ctx.config.request_deadline;
-            let mut supports: Vec<Value> = Vec::with_capacity(itemsets.len());
-            for items in &itemsets {
-                if start.elapsed() > deadline {
-                    return Err(ServiceFailure::deadline(deadline));
-                }
-                if let Some(&bad) = items.iter().find(|&&id| id as usize >= n_items) {
-                    return Err(ServiceFailure::other(format!(
-                        "item id {bad} out of range (store has {n_items} items)"
-                    )));
-                }
-                let set = Itemset::from_ids(items.iter().copied());
-                // The empty itemset's "support" is the basket count: the
-                // full-lattice vector a contingency table needs.
-                let support = if set.items().is_empty() {
-                    snap.n_baskets() as u64
-                } else {
-                    snap.support(set.items())
-                };
-                supports.push(Value::Int(support as i64));
-            }
-            Ok(Value::object()
-                .with("epoch", Value::Int(snap.epoch() as i64))
-                .with("n", Value::Int(snap.n_baskets() as i64))
-                .with("supports", Value::Array(supports)))
-        }
         Request::ReplicatePull {
             after_epoch,
             max_baskets,
@@ -1202,6 +1091,15 @@ fn dispatch_engine(
             "not a cluster node: 'demote' is only valid on generation-fenced shard processes"
                 .to_string(),
         )),
+        // Every query runs against one pinned snapshot: a batch, a
+        // support vector and each border level share its epoch.
+        query => {
+            let snap = engine.snapshot();
+            let source = engine
+                .source(&snap)
+                .with_deadline(ctx.start, ctx.config.request_deadline);
+            dispatch_query(&source, query, ctx)
+        }
     }
 }
 
@@ -1229,4 +1127,34 @@ pub fn scrub_report_value(report: &bmb_basket::ScrubReport) -> Value {
 /// channel receiver; any state is valid).
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    /// A service whose every request panics its worker thread.
+    struct Panicking;
+
+    impl Service for Panicking {
+        fn dispatch(&self, _: Request, _: &ServiceCtx<'_>) -> Result<Value, ServiceFailure> {
+            panic!("dispatch panicked");
+        }
+
+        fn registries(&self) -> Vec<Arc<Registry>> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn a_panicked_worker_is_reported_not_reraised() {
+        let running = Server::bind_service(Arc::new(Panicking), ServerConfig::default())
+            .expect("bind")
+            .spawn();
+        let mut client = Client::connect(running.addr).expect("connect");
+        assert!(client.request_line(r#"{"cmd":"ping"}"#).is_err());
+        let error = running.stop().expect_err("a worker panicked");
+        assert_eq!(error.to_string(), "a server worker panicked");
+    }
 }
